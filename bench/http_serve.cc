@@ -21,7 +21,6 @@
 // Writes BENCH_http_serve.json for the cross-PR perf trajectory.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -49,6 +48,11 @@
 using namespace graphrare;
 
 namespace {
+
+// A run may end this long after its last scheduled arrival: queued work
+// drains in milliseconds here, while a stalled reader waits out the
+// server's 10 s idle sweep.
+constexpr double kStallSlackSeconds = 2.0;
 
 int MaxThreads() {
 #ifdef _OPENMP
@@ -179,7 +183,6 @@ RunResult RunOpenLoop(int port, const std::vector<int64_t>& trace,
     std::deque<double> scheduled;  // arrival time of each in-flight request
     std::vector<double> latencies_ms;
     std::thread reader;
-    std::atomic<bool> done{false};
   };
   std::vector<Conn> conns(static_cast<size_t>(num_conns));
   const auto t0 = std::chrono::steady_clock::now();
@@ -191,6 +194,9 @@ RunResult RunOpenLoop(int port, const std::vector<int64_t>& trace,
 
   for (Conn& conn : conns) {
     conn.fd = ConnectLoopback(port);
+    // The reader runs until the server closes the connection, which it
+    // does once it has answered everything sent before the sender's
+    // half-close below.
     conn.reader = std::thread([&conn, &now_s] {
       ResponseCounter counter;
       char buf[8192];
@@ -205,7 +211,6 @@ RunResult RunOpenLoop(int port, const std::vector<int64_t>& trace,
             conn.latencies_ms.push_back((t - conn.scheduled.front()) * 1e3);
             conn.scheduled.pop_front();
           }
-          if (conn.done.load() && conn.scheduled.empty()) break;
         }
       }
       GR_CHECK(counter.all_ok()) << "bench saw a non-200 response";
@@ -233,7 +238,10 @@ RunResult RunOpenLoop(int port, const std::vector<int64_t>& trace,
     }
     WriteAll(conn.fd, wire);
   }
-  for (Conn& conn : conns) conn.done.store(true);
+  // Half-close after the last request so the readers see EOF: a reader
+  // cannot stop on its own count, since its last response may land before
+  // the sender has finished.
+  for (Conn& conn : conns) ::shutdown(conn.fd, SHUT_WR);
 
   RunResult result;
   std::vector<double> all_ms;
@@ -246,6 +254,10 @@ RunResult RunOpenLoop(int port, const std::vector<int64_t>& trace,
   GR_CHECK(all_ms.size() == trace.size())
       << "dropped responses: " << all_ms.size() << " of " << trace.size();
   const double wall_s = now_s();
+  const double span_s = schedule.empty() ? 0.0 : schedule.back();
+  GR_CHECK(wall_s <= span_s + kStallSlackSeconds)
+      << "client stalled: " << wall_s << " s wall for a " << span_s
+      << " s schedule";
   result.achieved_qps = static_cast<double>(trace.size()) / wall_s;
   result.latency_ms = Summarize(all_ms);
   return result;

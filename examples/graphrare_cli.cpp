@@ -2,23 +2,8 @@
 // registry dataset, export telemetry, the optimized graph, and a
 // deployable model artifact — or serve a previously saved artifact.
 //
-// Usage (training):
-//   graphrare_cli [--dataset=cornell] [--backbone=gcn] [--rare]
-//                 [--splits=3] [--iterations=20] [--lambda=1.0]
-//                 [--k-max=5] [--d-max=5] [--seed=1] [--lr=0.01]
-//                 [--minibatch] [--fanouts=10,10] [--batch-size=256]
-//                 [--epochs=100] [--sample-replace]
-//                 [--rl-blocks=4] [--rl-block-fanouts=10,10]
-//                 [--rl-block-seeds=64] [--rl-steps=4]
-//                 [--rl-partition=independent|locality]
-//                 [--rl-prefetch-depth=1] [--rl-producers=1]
-//                 [--rl-entropy-refresh] [--csr-reorder=degree|rcm]
-//                 [--telemetry=out.csv] [--save-graph=out.graph]
-//                 [--save-artifact=model.grare]
-//
-// Usage (serving a saved artifact; no dataset or training involved):
-//   graphrare_cli --serve-artifact=model.grare --predict=0,1,2
-//                 [--topk=3] [--serve-fanouts=10,10] [--seed=1]
+// Usage: see kUsage below (also printed when a flag is not recognised;
+// any unknown --flag exits 2 before anything runs).
 //
 // --seed is the single master seed: it fans out to the dataset generator,
 // splits, entropy candidate sampling, PPO, the neighbor sampler, and the
@@ -64,6 +49,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,23 +63,58 @@ using namespace graphrare;
 
 namespace {
 
-/// Minimal --key=value parser.
+constexpr char kUsage[] =
+    "usage (training):\n"
+    "  graphrare_cli [--dataset=cornell] [--backbone=gcn] [--rare]\n"
+    "                [--splits=3] [--iterations=20] [--lambda=1.0]\n"
+    "                [--k-max=5] [--d-max=5] [--seed=1] [--lr=0.01]\n"
+    "                [--minibatch] [--fanouts=10,10] [--batch-size=256]\n"
+    "                [--epochs=100] [--patience=20] [--sample-replace]\n"
+    "                [--rl-blocks=4] [--rl-block-fanouts=10,10]\n"
+    "                [--rl-block-seeds=64] [--rl-steps=4]\n"
+    "                [--rl-partition=independent|locality]\n"
+    "                [--rl-prefetch-depth=1] [--rl-producers=1]\n"
+    "                [--rl-entropy-refresh] [--csr-reorder=degree|rcm]\n"
+    "                [--telemetry=out.csv] [--save-graph=out.graph]\n"
+    "                [--save-artifact=model.grare]\n"
+    "usage (serving a saved artifact; no dataset or training involved):\n"
+    "  graphrare_cli --serve-artifact=model.grare --predict=0,1,2\n"
+    "                [--topk=3] [--serve-fanouts=10,10] [--seed=1]\n";
+
+/// Every flag the program reads; anything else is a usage error.
+const std::set<std::string>& KnownFlags() {
+  static const std::set<std::string> known = {
+      "backbone", "batch-size", "csr-reorder", "d-max", "dataset",
+      "epochs", "fanouts", "iterations", "k-max", "lambda", "lr",
+      "minibatch", "patience", "predict", "rare", "rl-block-fanouts",
+      "rl-block-seeds", "rl-blocks", "rl-entropy-refresh", "rl-partition",
+      "rl-prefetch-depth", "rl-producers", "rl-steps", "sample-replace",
+      "save-artifact", "save-graph", "seed", "serve-artifact",
+      "serve-fanouts", "splits", "telemetry", "topk",
+  };
+  return known;
+}
+
+[[noreturn]] void UsageError(const std::string& message) {
+  std::fprintf(stderr, "%s\n%s", message.c_str(), kUsage);
+  std::exit(2);
+}
+
+/// Minimal --key=value parser over the declared flags.
 class Flags {
  public:
   Flags(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unrecognised argument: %s\n", arg.c_str());
-        std::exit(2);
+        UsageError("unrecognised argument: " + arg);
       }
       arg = arg.substr(2);
       const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg] = "1";  // boolean flag
-      } else {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      }
+      const std::string key = arg.substr(0, eq);
+      if (!KnownFlags().count(key)) UsageError("unknown flag: --" + key);
+      values_[key] = eq == std::string::npos ? "1"  // boolean flag
+                                             : arg.substr(eq + 1);
     }
   }
 

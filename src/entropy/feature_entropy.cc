@@ -4,9 +4,17 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace graphrare {
 namespace entropy {
+
+namespace {
+
+// Pairs per static chunk for the per-pair dot products.
+constexpr int64_t kPairGrain = 4096;
+
+}  // namespace
 
 tensor::Tensor EmbedFeatures(const tensor::Tensor& features,
                              const FeatureEmbeddingOptions& options) {
@@ -44,14 +52,18 @@ double EmbeddingDot(const tensor::Tensor& embeddings, int64_t v, int64_t u) {
 
 std::vector<double> FeatureEntropyForPairs(
     const tensor::Tensor& embeddings, const std::vector<NodePair>& pairs) {
-  std::vector<double> logits;
-  logits.reserve(pairs.size());
-  for (const auto& [v, u] : pairs) {
-    logits.push_back(EmbeddingDot(embeddings, v, u));
-  }
-  if (logits.empty()) return {};
+  if (pairs.empty()) return {};
+  const int64_t num_pairs = static_cast<int64_t>(pairs.size());
+  std::vector<double> logits(pairs.size());
+  ParallelFor(num_pairs, kPairGrain, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      const auto& [v, u] = pairs[static_cast<size_t>(i)];
+      logits[static_cast<size_t>(i)] = EmbeddingDot(embeddings, v, u);
+    }
+  });
 
-  // log Z via log-sum-exp over the pair set.
+  // log Z via log-sum-exp over the pair set; the sum stays one serial
+  // ascending pass so its rounding does not depend on the thread count.
   const double mx = *std::max_element(logits.begin(), logits.end());
   double sum_exp = 0.0;
   for (double s : logits) sum_exp += std::exp(s - mx);

@@ -1,14 +1,18 @@
 #include "entropy/relative_entropy.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 
 namespace graphrare {
 namespace entropy {
 
 namespace {
+
+// Nodes per dynamic chunk when scoring sequences: hubs make the per-node
+// cost irregular, so chunks are small and handed out on demand.
+constexpr int64_t kScoreGrain = 16;
 
 // Canonical sequence orders (shared by Build and ApplyEdits so incremental
 // refresh lands candidates exactly where a full rebuild would put them).
@@ -74,13 +78,23 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
   pair_owner_begin.reserve(static_cast<size_t>(n) + 1);
   remote_count.reserve(static_cast<size_t>(n));
 
-  std::unordered_set<int64_t> taken;
+  // mark[x] == v means x is taken for v: v itself, its neighbours and the
+  // candidates drawn so far. One stamp array replaces a per-node hash set;
+  // membership is the same, so the RNG stream and candidate order are too.
+  // Generation stays serial because the RNG is consumed in node order.
+  std::vector<int64_t> mark(static_cast<size_t>(n), -1);
+  // Marks x as taken for v; false when it already was.
+  const auto take = [&mark](int64_t x, int64_t v) {
+    int64_t& m = mark[static_cast<size_t>(x)];
+    if (m == v) return false;
+    m = v;
+    return true;
+  };
   for (int64_t v = 0; v < n; ++v) {
     pair_owner_begin.push_back(static_cast<int64_t>(pairs.size()));
-    taken.clear();
-    taken.insert(v);
+    mark[static_cast<size_t>(v)] = v;
     for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
-      taken.insert(*p);
+      mark[static_cast<size_t>(*p)] = v;
     }
 
     // 2-hop candidates (sampled down when large).
@@ -88,10 +102,7 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
     for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
       for (const int64_t* q = g.NeighborsBegin(*p); q != g.NeighborsEnd(*p);
            ++q) {
-        if (!taken.count(*q)) {
-          taken.insert(*q);
-          two_hop.push_back(*q);
-        }
+        if (take(*q, v)) two_hop.push_back(*q);
       }
     }
     if (static_cast<int>(two_hop.size()) > options.max_two_hop_candidates) {
@@ -114,10 +125,7 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
       ++attempts;
       const int64_t c = static_cast<int64_t>(
           rng.UniformInt(static_cast<uint64_t>(n)));
-      if (!taken.count(c)) {
-        taken.insert(c);
-        random_remote.push_back(c);
-      }
+      if (take(c, v)) random_remote.push_back(c);
     }
 
     int64_t remote = 0;
@@ -148,28 +156,33 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
     }
   }
 
-  // --- Assemble sequences. ---
+  // --- Assemble sequences: each node scores and sorts only its own pairs,
+  // so any schedule and thread count give the same index. ---
   RelativeEntropyIndex index;
   index.lambda_ = options.lambda;
   index.sequences_.resize(static_cast<size_t>(n));
-  for (int64_t v = 0; v < n; ++v) {
-    NodeSequences& seq = index.sequences_[static_cast<size_t>(v)];
-    const int64_t begin = pair_owner_begin[static_cast<size_t>(v)];
-    const int64_t end = pair_owner_begin[static_cast<size_t>(v) + 1];
-    const int64_t n_remote = remote_count[static_cast<size_t>(v)];
-    for (int64_t i = begin; i < end; ++i) {
-      const int64_t u = pairs[static_cast<size_t>(i)].second;
-      const double h = hf[static_cast<size_t>(i)] +
-                       options.lambda * structural.Between(v, u);
-      if (i - begin < n_remote) {
-        seq.remote.push_back({u, h});
-      } else {
-        seq.neighbors.push_back({u, h});
+  ParallelForDynamic(n, kScoreGrain, [&](int64_t v0, int64_t v1) {
+    for (int64_t v = v0; v < v1; ++v) {
+      NodeSequences& seq = index.sequences_[static_cast<size_t>(v)];
+      const int64_t begin = pair_owner_begin[static_cast<size_t>(v)];
+      const int64_t end = pair_owner_begin[static_cast<size_t>(v) + 1];
+      const int64_t n_remote = remote_count[static_cast<size_t>(v)];
+      seq.remote.reserve(static_cast<size_t>(n_remote));
+      seq.neighbors.reserve(static_cast<size_t>(end - begin - n_remote));
+      for (int64_t i = begin; i < end; ++i) {
+        const int64_t u = pairs[static_cast<size_t>(i)].second;
+        const double h = hf[static_cast<size_t>(i)] +
+                         options.lambda * structural.Between(v, u);
+        if (i - begin < n_remote) {
+          seq.remote.push_back({u, h});
+        } else {
+          seq.neighbors.push_back({u, h});
+        }
       }
+      std::sort(seq.remote.begin(), seq.remote.end(), RemoteOrder);
+      std::sort(seq.neighbors.begin(), seq.neighbors.end(), NeighborOrder);
     }
-    std::sort(seq.remote.begin(), seq.remote.end(), RemoteOrder);
-    std::sort(seq.neighbors.begin(), seq.neighbors.end(), NeighborOrder);
-  }
+  });
   return index;
 }
 

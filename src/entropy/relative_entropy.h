@@ -9,6 +9,21 @@
 // Table VI reports that cost separately). Remote candidates per node are
 // its 2-hop neighbourhood (sampled down when huge) plus uniformly sampled
 // remote nodes — the paper's sparse-computation note made concrete.
+//
+// Build runs in three passes and gives the same bits for any thread count
+// and for OpenMP-off builds:
+//
+//   1. Candidate generation, serial because the seeded RNG is consumed in
+//      node order. Membership ("already taken for v") is one stamp array,
+//      mark[x] == v, rather than a per-node hash set: the same set, so the
+//      same RNG draws and candidate order, without hashing ~sum(deg^2)
+//      2-hop probes.
+//   2. Feature entropy over the whole pair set: per-pair dot products and
+//      -P log P in parallel, the log-sum-exp normaliser one serial sum.
+//   3. Scoring and sorting, parallel over nodes (dynamic chunks, since
+//      hubs cost more): each node writes only its own NodeSequences, and
+//      the structural term comes from StructuralEntropyCalculator's cached
+//      logs and self-entropies (see structural_entropy.h).
 
 #ifndef GRAPHRARE_ENTROPY_RELATIVE_ENTROPY_H_
 #define GRAPHRARE_ENTROPY_RELATIVE_ENTROPY_H_

@@ -5,8 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <unordered_set>
 #include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "data/generator.h"
 #include "entropy/relative_entropy.h"
@@ -432,6 +439,191 @@ TEST(DenseEntropyMatrixTest, SameLabelPairsHaveHigherEntropy) {
     }
   }
   EXPECT_GT(same / n_same, cross / n_cross);
+}
+
+// ---- Bitwise oracle for the cached / parallel build --------------------------
+
+// Hub-heavy graph: endpoint u ~ n * U^3 collects most edges on a few low
+// ids, so hub and leaf degree sequences differ in length by two orders of
+// magnitude, and the last node stays isolated.
+graph::Graph SkewedGraph(int64_t n, int64_t num_edges, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<graph::Edge> edges;
+  for (int64_t e = 0; e < num_edges; ++e) {
+    const double x = rng.Uniform();
+    const int64_t u = static_cast<int64_t>(static_cast<double>(n - 1) * x *
+                                           x * x);
+    const int64_t v = static_cast<int64_t>(
+        rng.UniformInt(static_cast<uint64_t>(n - 1)));
+    if (u != v) edges.emplace_back(u, v);
+  }
+  return graph::Graph::FromEdgeListOrDie(n, edges);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// RelativeEntropyIndex::Build written the straightforward serial way: one
+// hash set per node for candidate membership, 1 - JsDivergence for the
+// structural term, a serial softmax over the pair set.
+std::vector<NodeSequences> ReferenceBuild(const graph::Graph& g,
+                                          const tensor::Tensor& features,
+                                          const EntropyOptions& options) {
+  const int64_t n = g.num_nodes();
+  Rng rng(options.seed);
+  const tensor::Tensor z = EmbedFeatures(features, options.embedding);
+  StructuralEntropyCalculator structural(g);
+  std::vector<NodePair> pairs;
+  std::vector<int64_t> begin_of, remote_of;
+  for (int64_t v = 0; v < n; ++v) {
+    begin_of.push_back(static_cast<int64_t>(pairs.size()));
+    std::unordered_set<int64_t> taken = {v};
+    for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
+      taken.insert(*p);
+    }
+    std::vector<int64_t> two_hop;
+    for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
+      for (const int64_t* q = g.NeighborsBegin(*p); q != g.NeighborsEnd(*p);
+           ++q) {
+        if (taken.insert(*q).second) two_hop.push_back(*q);
+      }
+    }
+    if (static_cast<int>(two_hop.size()) > options.max_two_hop_candidates) {
+      std::vector<int64_t> sampled;
+      for (int64_t i : rng.SampleWithoutReplacement(
+               static_cast<int64_t>(two_hop.size()),
+               options.max_two_hop_candidates)) {
+        sampled.push_back(two_hop[static_cast<size_t>(i)]);
+      }
+      two_hop = std::move(sampled);
+    }
+    for (int64_t c : two_hop) pairs.emplace_back(v, c);
+    int drawn = 0;
+    for (int attempts = 0; drawn < options.num_random_candidates &&
+                           attempts < options.num_random_candidates * 20;
+         ++attempts) {
+      const int64_t c =
+          static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
+      if (taken.insert(c).second) {
+        pairs.emplace_back(v, c);
+        ++drawn;
+      }
+    }
+    remote_of.push_back(static_cast<int64_t>(two_hop.size()) + drawn);
+    for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
+      pairs.emplace_back(v, *p);
+    }
+  }
+  begin_of.push_back(static_cast<int64_t>(pairs.size()));
+
+  std::vector<double> hf;
+  for (const auto& [v, u] : pairs) hf.push_back(EmbeddingDot(z, v, u));
+  const double mx = *std::max_element(hf.begin(), hf.end());
+  double sum_exp = 0.0;
+  for (double s : hf) sum_exp += std::exp(s - mx);
+  const double log_z = mx + std::log(sum_exp);
+  for (double& h : hf) {
+    const double log_p = h - log_z;
+    const double p = std::exp(log_p);
+    h = -p * log_p;
+  }
+  const auto [mn_it, mx_it] = std::minmax_element(hf.begin(), hf.end());
+  const double mn = *mn_it, range = *mx_it - mn;
+  for (double& h : hf) h = range > 0.0 ? (h - mn) / range : 0.5;
+
+  std::vector<NodeSequences> out(static_cast<size_t>(n));
+  for (int64_t v = 0; v < n; ++v) {
+    NodeSequences& seq = out[static_cast<size_t>(v)];
+    for (int64_t i = begin_of[v]; i < begin_of[v + 1]; ++i) {
+      const int64_t u = pairs[static_cast<size_t>(i)].second;
+      const double h =
+          hf[static_cast<size_t>(i)] +
+          options.lambda *
+              (1.0 - JsDivergence(structural.Sequence(v),
+                                  structural.Sequence(u)));
+      (i - begin_of[v] < remote_of[v] ? seq.remote : seq.neighbors)
+          .push_back({u, h});
+    }
+    std::sort(seq.remote.begin(), seq.remote.end(),
+              [](const ScoredNode& a, const ScoredNode& b) {
+                return a.entropy != b.entropy ? a.entropy > b.entropy
+                                              : a.node < b.node;
+              });
+    std::sort(seq.neighbors.begin(), seq.neighbors.end(),
+              [](const ScoredNode& a, const ScoredNode& b) {
+                return a.entropy != b.entropy ? a.entropy < b.entropy
+                                              : a.node < b.node;
+              });
+  }
+  return out;
+}
+
+void ExpectSameSequence(const std::vector<ScoredNode>& got,
+                        const std::vector<ScoredNode>& want, int64_t v) {
+  ASSERT_EQ(got.size(), want.size()) << "node " << v;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].node, want[i].node) << "node " << v << " entry " << i;
+    EXPECT_TRUE(SameBits(got[i].entropy, want[i].entropy))
+        << "node " << v << " entry " << i << ": " << got[i].entropy
+        << " vs " << want[i].entropy;
+  }
+}
+
+void ExpectIndexMatchesReference(const graph::Graph& g,
+                                 const tensor::Tensor& features,
+                                 const EntropyOptions& options,
+                                 const std::vector<NodeSequences>& want) {
+  const RelativeEntropyIndex index =
+      *RelativeEntropyIndex::Build(g, features, options);
+  ASSERT_EQ(index.num_nodes(), static_cast<int64_t>(want.size()));
+  for (int64_t v = 0; v < index.num_nodes(); ++v) {
+    ExpectSameSequence(index.sequences(v).remote,
+                       want[static_cast<size_t>(v)].remote, v);
+    ExpectSameSequence(index.sequences(v).neighbors,
+                       want[static_cast<size_t>(v)].neighbors, v);
+  }
+}
+
+TEST(EntropyBuildOracleTest, BetweenIsBitwiseOneMinusJsDivergence) {
+  const graph::Graph g = SkewedGraph(300, 1500, 41);
+  StructuralEntropyCalculator calc(g);
+  size_t longest = 0, shortest = ~size_t{0};
+  for (int64_t v = 0; v < g.num_nodes(); ++v) {
+    longest = std::max(longest, calc.Sequence(v).size());
+    shortest = std::min(shortest, calc.Sequence(v).size());
+  }
+  ASSERT_GE(longest, 20 * shortest) << "graph is not skewed enough";
+  for (int64_t v = 0; v < g.num_nodes(); ++v) {
+    for (int64_t u = 0; u < g.num_nodes(); ++u) {
+      const double want =
+          1.0 - JsDivergence(calc.Sequence(v), calc.Sequence(u));
+      ASSERT_TRUE(SameBits(calc.Between(v, u), want))
+          << v << "," << u << ": " << calc.Between(v, u) << " vs " << want;
+    }
+  }
+}
+
+TEST(EntropyBuildOracleTest, BuildMatchesSerialReferenceBitwise) {
+  const graph::Graph g = SkewedGraph(400, 2400, 43);
+  Rng rng(47);
+  const tensor::Tensor features = tensor::Tensor::Randn(400, 96, &rng);
+  for (const double lambda : {1.0, 0.7}) {
+    EntropyOptions options;
+    options.lambda = lambda;
+    options.seed = 53;
+    const std::vector<NodeSequences> want =
+        ReferenceBuild(g, features, options);
+    ExpectIndexMatchesReference(g, features, options, want);
+#ifdef _OPENMP
+    const int old_threads = omp_get_max_threads();
+    for (const int threads : {1, 4}) {
+      omp_set_num_threads(threads);
+      ExpectIndexMatchesReference(g, features, options, want);
+    }
+    omp_set_num_threads(old_threads);
+#endif
+  }
 }
 
 }  // namespace
